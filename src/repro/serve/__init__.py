@@ -4,7 +4,7 @@ The serving layer of the reproduction (ROADMAP item 1): load a
 :class:`~repro.tune.planner.TuningPlan` plus derived pruned weights once,
 then answer ``predict`` requests through
 :class:`~repro.tune.planned.PlannedModel` with timing-model-planned dynamic
-micro-batching, worker processes sharing prepared-weight caches, and
+micro-batching, worker processes sharing prepared kernel handles, and
 bounded-queue backpressure.  See ``docs/architecture.md`` for the data flow
 and the README's Serving section for the CLI quickstart.
 """
@@ -40,7 +40,7 @@ from .service import (
     ServiceOverloadedError,
     ServiceStats,
 )
-from .weights import derive_weights, planned_runtime
+from .weights import ServingRuntime, derive_weights, planned_runtime
 
 __all__ = [
     "DEFAULT_WEIGHT_SEED",
@@ -64,6 +64,7 @@ __all__ = [
     "ServeBatchRecord",
     "ServiceOverloadedError",
     "ServiceStats",
+    "ServingRuntime",
     "WorkerPool",
     "derive_weights",
     "execute_serve_batches",

@@ -152,6 +152,10 @@ class MicroBatcher:
     :class:`QueueFullError` beyond it (reject semantics — the service never
     silently drops an accepted request).
 
+    Queued widths and the number of queued requests carrying their own
+    deadline are kept as running counts, so a push or an idle poll costs
+    the same with one request queued or hundreds.
+
     All methods take ``now`` explicitly (any monotonic float clock).
     """
 
@@ -166,15 +170,13 @@ class MicroBatcher:
         self._queues: dict[str, deque[tuple[PredictRequest, float]]] = {
             layer: deque() for layer in self.windows
         }
+        self._widths = dict.fromkeys(self.windows, 0)
+        self._with_deadline = 0
 
     @property
     def pending(self) -> int:
         """Total queued column width across all layers."""
-        return sum(
-            request.width
-            for queue in self._queues.values()
-            for request, _ in queue
-        )
+        return sum(self._widths.values())
 
     def push(self, request: PredictRequest, now: float) -> None:
         """Enqueue one request at time ``now``.
@@ -190,6 +192,7 @@ class MicroBatcher:
                 f"{request.width} would exceed max_pending={self.max_pending}"
             )
         self._queues[request.layer].append((request, now))
+        self._count(request, 1)
 
     def poll(self, now: float) -> list[list[PredictRequest]]:
         """Release every batch that is ready at time ``now``.
@@ -203,10 +206,10 @@ class MicroBatcher:
         for layer in sorted(self._queues):
             window = self.windows[layer]
             queue = self._queues[layer]
-            while self._queued_width(queue) >= window.width:
-                ready.append(self._take(queue, window.width))
+            while self._widths[layer] >= window.width:
+                ready.append(self._take(layer))
             if queue and now - queue[0][1] >= window.deadline_s:
-                ready.append(self._take(queue, window.width))
+                ready.append(self._take(layer))
         return ready
 
     def next_deadline(self) -> float | None:
@@ -222,11 +225,12 @@ class MicroBatcher:
             if not queue:
                 continue
             deadlines.append(queue[0][1] + self.windows[layer].deadline_s)
-            deadlines.extend(
-                enqueued + request.deadline_s
-                for request, enqueued in queue
-                if request.deadline_s is not None
-            )
+            if self._with_deadline:
+                deadlines.extend(
+                    enqueued + request.deadline_s
+                    for request, enqueued in queue
+                    if request.deadline_s is not None
+                )
         return min(deadlines) if deadlines else None
 
     def remove(self, request: PredictRequest) -> bool:
@@ -241,9 +245,10 @@ class MicroBatcher:
         queue = self._queues.get(request.layer)
         if queue is None:
             return False
-        for entry in queue:
-            if entry[0] is request:
-                queue.remove(entry)
+        for index, (queued, _) in enumerate(queue):
+            if queued is request:
+                del queue[index]
+                self._count(request, -1)
                 return True
         return False
 
@@ -257,6 +262,8 @@ class MicroBatcher:
         the shed order is deterministic.
         """
         shed: list[PredictRequest] = []
+        if not self._with_deadline:
+            return shed
         for layer in sorted(self._queues):
             queue = self._queues[layer]
             kept: deque[tuple[PredictRequest, float]] = deque()
@@ -266,6 +273,7 @@ class MicroBatcher:
                     and now - enqueued >= request.deadline_s
                 ):
                     shed.append(request)
+                    self._count(request, -1)
                 else:
                     kept.append((request, enqueued))
             self._queues[layer] = kept
@@ -276,26 +284,26 @@ class MicroBatcher:
         batches first, then one final partial batch per layer."""
         ready: list[list[PredictRequest]] = []
         for layer in sorted(self._queues):
-            window = self.windows[layer]
-            queue = self._queues[layer]
-            while queue:
-                ready.append(self._take(queue, window.width))
+            while self._queues[layer]:
+                ready.append(self._take(layer))
         return ready
 
-    @staticmethod
-    def _queued_width(queue: deque[tuple[PredictRequest, float]]) -> int:
-        return sum(request.width for request, _ in queue)
+    def _count(self, request: PredictRequest, sign: int) -> None:
+        """Add (``sign=1``) or drop (``-1``) a request in the running counts."""
+        self._widths[request.layer] += sign * request.width
+        if request.deadline_s is not None:
+            self._with_deadline += sign
 
-    @staticmethod
-    def _take(
-        queue: deque[tuple[PredictRequest, float]], width: int
-    ) -> list[PredictRequest]:
-        """Pop requests in arrival order until ``width`` columns are filled
-        (or the queue empties)."""
+    def _take(self, layer: str) -> list[PredictRequest]:
+        """Pop requests in arrival order until the layer's window width is
+        filled (or the queue empties)."""
+        queue = self._queues[layer]
+        width = self.windows[layer].width
         batch: list[PredictRequest] = []
         filled = 0
         while queue and filled < width:
             request, _ = queue.popleft()
+            self._count(request, -1)
             batch.append(request)
             filled += request.width
         return batch

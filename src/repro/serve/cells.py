@@ -21,6 +21,7 @@ bounded latency.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -28,9 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..eval.runner import MODEL_VERSION, CellTask, canonical_config_hash
-from ..tune.planned import PlannedModel
 from ..tune.planner import TuningPlan
-from .weights import planned_runtime
+from .weights import ServingRuntime, planned_runtime
 
 __all__ = [
     "PredictRequest",
@@ -42,38 +42,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictRequest:
     """One inference request: activation columns for one layer of the plan.
 
-    ``activations`` is the dense operand slice the request contributes —
-    ``K`` rows by ``n`` columns, stored as nested tuples so the request is
-    immutable and canonically JSON-serialisable (the batch hash digests the
-    exact float values).  ``request_id`` is a correlation handle for the
-    caller and ``deadline_s`` an optional shed-after bound (seconds from
-    submission; expired requests are shed before dispatch with an error
-    response); both are cosmetic — excluded from equality and from the
-    cache key, like every display-only field in the repo's cell families
-    (a deadline decides *whether* a request is served, never what its
-    output is).
+    ``activations`` is the dense operand slice the request contributes: a
+    ``K x n`` float64 array, privately copied from whatever array-like the
+    constructor is given and marked read-only, so the request stays
+    immutable (a pickle round trip restores the flag too).  Equality and
+    hashing are explicit: the layer plus the operand values.
+    ``request_id`` is a correlation handle for the caller and
+    ``deadline_s`` an optional shed-after bound (seconds from submission;
+    expired requests are shed before dispatch with an error response);
+    both are cosmetic — excluded from equality and from the cache key, like
+    every display-only field in the repo's cell families (a deadline
+    decides *whether* a request is served, never what its output is).
     """
 
     layer: str
-    activations: tuple[tuple[float, ...], ...]
+    activations: np.ndarray
     request_id: str | None = field(default=None, compare=False)
     deadline_s: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(
-            tuple(float(value) for value in row) for row in self.activations
-        )
-        if not rows or not rows[0]:
+        array = np.array(self.activations, dtype=np.float64, order="C")
+        if array.ndim != 2 or array.size == 0:
             raise ValueError("activations must be a non-empty K x n matrix")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("activation rows must all have the same width")
         if self.deadline_s is not None and self.deadline_s < 0.0:
             raise ValueError("a request deadline must be non-negative")
-        object.__setattr__(self, "activations", rows)
+        array.flags.writeable = False
+        object.__setattr__(self, "activations", array)
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through the constructor: unpickled arrays are writeable.
+        return (
+            type(self),
+            (self.layer, self.activations, self.request_id, self.deadline_s),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PredictRequest):
+            return NotImplemented
+        return self.layer == other.layer and np.array_equal(
+            self.activations, other.activations
+        )
+
+    def __hash__(self) -> int:
+        # ``+ 0.0`` folds -0.0 into 0.0, which ``array_equal`` treats as equal.
+        values = self.activations + 0.0
+        return hash((self.layer, values.shape, values.tobytes()))
 
     @classmethod
     def from_array(
@@ -92,7 +109,7 @@ class PredictRequest:
             raise ValueError("activations must be 1-D or 2-D")
         return cls(
             layer=layer,
-            activations=tuple(tuple(row) for row in array.tolist()),
+            activations=array,
             request_id=request_id,
             deadline_s=deadline_s,
         )
@@ -100,22 +117,29 @@ class PredictRequest:
     @property
     def width(self) -> int:
         """Number of activation columns the request contributes."""
-        return len(self.activations[0])
+        return self.activations.shape[1]
 
     @property
     def rows(self) -> int:
         """Number of activation rows (the layer's reduction dimension K)."""
-        return len(self.activations)
+        return self.activations.shape[0]
 
     def to_array(self) -> np.ndarray:
-        """The request operand as a ``(K, n)`` float64 array."""
-        return np.asarray(self.activations, dtype=np.float64)
+        """The request operand as a read-only ``(K, n)`` float64 array."""
+        return self.activations
 
     def to_dict(self) -> dict:
-        """Canonical JSON-compatible form (used for hashing and export)."""
+        """JSON-compatible form with the full operand (wire and export)."""
+        return {"layer": self.layer, "activations": self.activations.tolist()}
+
+    def digest(self) -> dict:
+        """The operand's cache-key form: shape, dtype and a bytes digest."""
         return {
-            "layer": self.layer,
-            "activations": [list(row) for row in self.activations],
+            "shape": list(self.activations.shape),
+            "dtype": str(self.activations.dtype),
+            "blake2b": hashlib.blake2b(
+                self.activations.tobytes(), digest_size=16
+            ).hexdigest(),
         }
 
 
@@ -165,7 +189,8 @@ class ServeBatch:
     The batch is the serving cell — everything the output depends on is a
     field and flows through :meth:`to_dict` into the cache key: the tuning
     plan (which kernel serves the layer), the seed the pruned weights derive
-    from, the layer, and the exact request payloads in coalescing order.
+    from, the layer, and the exact request payloads in coalescing order
+    (each keyed by its bytes digest, :meth:`PredictRequest.digest`).
     ``batch_id`` is dispatch bookkeeping and cosmetic.
     """
 
@@ -193,7 +218,7 @@ class ServeBatch:
             "plan": self.plan.to_dict(),
             "weight_seed": self.weight_seed,
             "layer": self.layer,
-            "requests": [request.to_dict() for request in self.requests],
+            "requests": [request.digest() for request in self.requests],
         }
 
     def config_hash(self, *, salt: str = MODEL_VERSION) -> str:
@@ -240,20 +265,19 @@ def _decode_serve_record(config: object, entry: Mapping) -> ServeBatchRecord | N
     )
 
 
-#: Per-process runtime memo: the prepared :class:`PlannedModel` and derived
-#: weights of recently served plans.  This is the shared prepared-weight
-#: cache of the worker processes — each worker derives (or, under the fork
-#: start method, inherits copy-on-write from the parent's warm-up) the
-#: compressed kernel formats once and reuses them across every batch it
+#: Per-process runtime memo: the :class:`ServingRuntime` (derived weights
+#: and prepared kernel handles) of recently served plans.  Each worker
+#: inherits it copy-on-write from the parent's warm-up under the fork start
+#: method, or builds it once, and reuses the handles across every batch it
 #: serves, mirroring the accuracy cells' per-worker dense-proxy memo.
-_RUNTIME_MEMO: OrderedDict[str, tuple[PlannedModel, dict]] = OrderedDict()
+_RUNTIME_MEMO: OrderedDict[str, ServingRuntime] = OrderedDict()
 
 #: How many plan runtimes one process keeps prepared at a time.
 _RUNTIME_MEMO_SIZE = 4
 
 
-def _runtime_for(plan: TuningPlan, weight_seed: int) -> tuple[PlannedModel, dict]:
-    """The memoised ``(PlannedModel, weights)`` runtime of one plan."""
+def _runtime_for(plan: TuningPlan, weight_seed: int) -> ServingRuntime:
+    """The memoised :class:`ServingRuntime` of one plan."""
     key = canonical_config_hash({"plan": plan.to_dict(), "weight_seed": weight_seed})
     runtime = _RUNTIME_MEMO.get(key)
     if runtime is not None:
@@ -267,17 +291,16 @@ def _runtime_for(plan: TuningPlan, weight_seed: int) -> tuple[PlannedModel, dict
 
 
 def _execute_serve_batch(batch: ServeBatch) -> ServeBatchRecord:
-    """Serve one micro-batch: coalesce, run the assigned kernel once, slice.
+    """Serve one micro-batch: coalesce, run the prepared kernel once, slice.
 
     Pure function of the batch (seeded weight derivation, no clock, no
     environment), so records are identical wherever the batch executes.
     """
-    model, weights = _runtime_for(batch.plan, batch.weight_seed)
-    weight = weights[batch.layer]
+    runtime = _runtime_for(batch.plan, batch.weight_seed)
     coalesced = np.concatenate(
         [request.to_array() for request in batch.requests], axis=1
     )
-    output = model.matmul(batch.layer, weight, coalesced)
+    output = runtime.execute(batch.layer, coalesced)
     outputs: list[np.ndarray] = []
     start = 0
     for request in batch.requests:
@@ -294,7 +317,7 @@ def execute_serve_batches(batches: list[ServeBatch]) -> list[ServeBatchRecord]:
 
 #: The serving cell family, pluggable into ``SweepRunner.run_cells``:
 #: contiguous chunking keeps each worker's batches on as few plans/layers as
-#: possible, so the per-process prepared-weight memo is hit instead of
+#: possible, so the per-process prepared-handle memo is hit instead of
 #: rebuilt per stride.
 SERVE_TASK = CellTask(
     name="serve",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -188,3 +191,25 @@ class TestPoolRobustness:
             elapsed = time.monotonic() - began
         assert elapsed < 10.0
         assert report["terminated"] + report["killed"] == 1
+
+
+def test_blas_cap_lowers_but_never_raises():
+    """A worker's BLAS pool drops to its CPU share; a lower pin stays."""
+    code = (
+        "from repro.serve.pool import _cap_blas_threads\n"
+        "print(_cap_blas_threads(1), _cap_blas_threads(4))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    if result.stdout.split() == ["None", "None"]:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert result.stdout.split() == ["1", "1"]
