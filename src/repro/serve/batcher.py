@@ -152,9 +152,8 @@ class MicroBatcher:
     :class:`QueueFullError` beyond it (reject semantics — the service never
     silently drops an accepted request).
 
-    Queued widths and the number of queued requests carrying their own
-    deadline are kept as running counts, so a push or an idle poll costs
-    the same with one request queued or hundreds.
+    Queued widths are kept as a running count per layer, so a push or a
+    width check costs the same with one request queued or hundreds.
 
     All methods take ``now`` explicitly (any monotonic float clock).
     """
@@ -171,7 +170,6 @@ class MicroBatcher:
             layer: deque() for layer in self.windows
         }
         self._widths = dict.fromkeys(self.windows, 0)
-        self._with_deadline = 0
 
     @property
     def pending(self) -> int:
@@ -225,12 +223,11 @@ class MicroBatcher:
             if not queue:
                 continue
             deadlines.append(queue[0][1] + self.windows[layer].deadline_s)
-            if self._with_deadline:
-                deadlines.extend(
-                    enqueued + request.deadline_s
-                    for request, enqueued in queue
-                    if request.deadline_s is not None
-                )
+            deadlines.extend(
+                enqueued + request.deadline_s
+                for request, enqueued in queue
+                if request.deadline_s is not None
+            )
         return min(deadlines) if deadlines else None
 
     def remove(self, request: PredictRequest) -> bool:
@@ -262,8 +259,6 @@ class MicroBatcher:
         the shed order is deterministic.
         """
         shed: list[PredictRequest] = []
-        if not self._with_deadline:
-            return shed
         for layer in sorted(self._queues):
             queue = self._queues[layer]
             kept: deque[tuple[PredictRequest, float]] = deque()
@@ -291,8 +286,6 @@ class MicroBatcher:
     def _count(self, request: PredictRequest, sign: int) -> None:
         """Add (``sign=1``) or drop (``-1``) a request in the running counts."""
         self._widths[request.layer] += sign * request.width
-        if request.deadline_s is not None:
-            self._with_deadline += sign
 
     def _take(self, layer: str) -> list[PredictRequest]:
         """Pop requests in arrival order until the layer's window width is

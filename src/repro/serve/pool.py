@@ -50,11 +50,13 @@ width-64 batches) took 0.28-1.03 s without the cap and 0.08-0.11 s with it.
 from __future__ import annotations
 
 import ctypes
+import functools
 import multiprocessing
 import os
 import re
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from pathlib import Path
@@ -96,29 +98,47 @@ _OPENBLAS_THREAD_FUNCTIONS = (
 )
 
 
-def _cap_blas_threads(limit: int) -> int | None:
-    """Lower this process's OpenBLAS thread count to at most ``limit``.
+@functools.cache
+def _openblas_thread_functions() -> tuple[Callable, Callable] | None:
+    """The ``(get, set)`` thread-count functions of the loaded OpenBLAS.
 
-    A lower existing setting is kept (never raised).  Returns the count in
-    effect afterwards, or ``None`` when no OpenBLAS is loaded (found
-    through ``/proc/self/maps``).
+    Found once per process through ``/proc/self/maps``; ``None`` when no
+    OpenBLAS is loaded.  The pool looks them up before it forks, so a
+    (re)spawned worker inherits the result instead of scanning its maps.
     """
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
         return None
     for library in sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", maps))):
-        handle = ctypes.CDLL(library)
+        try:
+            handle = ctypes.CDLL(library)
+        except OSError:
+            # The mapped file may be gone (replaced on disk since it was
+            # loaded); the cap is best effort and must not stop a worker.
+            continue
         for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
             get_threads = getattr(handle, get_name, None)
             set_threads = getattr(handle, set_name, None)
-            if get_threads is None or set_threads is None:
-                continue
-            get_threads.restype = ctypes.c_int
-            if get_threads() > limit:
-                set_threads(ctypes.c_int(limit))
-            return int(get_threads())
+            if get_threads is not None and set_threads is not None:
+                get_threads.restype = ctypes.c_int
+                return get_threads, set_threads
     return None
+
+
+def _cap_blas_threads(limit: int) -> int | None:
+    """Lower this process's OpenBLAS thread count to at most ``limit``.
+
+    A lower existing setting is kept (never raised).  Returns the count in
+    effect afterwards, or ``None`` when no OpenBLAS is loaded.
+    """
+    functions = _openblas_thread_functions()
+    if functions is None:
+        return None
+    get_threads, set_threads = functions
+    if get_threads() > limit:
+        set_threads(ctypes.c_int(limit))
+    return int(get_threads())
 
 
 def _worker_main(conn: connection.Connection, blas_threads: int) -> None:
@@ -231,9 +251,10 @@ InferenceService` does) — submitting more can deadlock the parent against
         Crash budget per batch: a batch is resubmitted after at most this
         many worker deaths, then quarantined.
     backoff_base_s / backoff_cap_s:
-        Exponential respawn backoff: the ``k``-th consecutive failure
-        sleeps ``min(base * 2**(k-1), cap)`` before the replacement worker
-        starts, so a crash-looping pool cannot busy-spin fork().
+        Exponential respawn backoff: a lone failure is replaced at once,
+        and the ``k``-th consecutive failure (``k >= 2``) sleeps
+        ``min(base * 2**(k-2), cap)`` before the replacement worker starts,
+        so a crash-looping pool cannot busy-spin fork().
     breaker_threshold:
         Consecutive worker deaths (without a single successful reply in
         between) that trip the circuit breaker.
@@ -283,6 +304,7 @@ InferenceService` does) — submitting more can deadlock the parent against
         self._stranded: list[ServeBatch] = []
         self._errored: list[BatchResult] = []
         self._blas_threads = max(1, len(os.sched_getaffinity(0)) // workers)
+        _openblas_thread_functions()  # resolved once, inherited by forks
         self._workers = [self._spawn() for _ in range(workers)]
         self._closed = False
 
@@ -353,12 +375,13 @@ InferenceService` does) — submitting more can deadlock the parent against
             self._workers.remove(worker)
             self._stranded.extend(orphaned)
             return
-        delay = min(
-            self.backoff_base_s * (2 ** (self._consecutive_failures - 1)),
-            self.backoff_cap_s,
-        )
-        if delay > 0.0:
-            time.sleep(delay)
+        if self._consecutive_failures > 1:
+            time.sleep(
+                min(
+                    self.backoff_base_s * (2 ** (self._consecutive_failures - 2)),
+                    self.backoff_cap_s,
+                )
+            )
         replacement = self._spawn()
         self._workers[self._workers.index(worker)] = replacement
         for batch in orphaned:

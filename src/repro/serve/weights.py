@@ -60,7 +60,7 @@ class ServingRuntime:
 
     model: PlannedModel
     weights: dict[str, np.ndarray]
-    handles: dict[str, object] = field(default_factory=dict)
+    handles: dict[str, object] = field(default_factory=dict, init=False)
 
     def execute(self, layer: str, activations: np.ndarray) -> np.ndarray:
         """``weights[layer] @ activations`` through the prepared handle."""

@@ -169,6 +169,25 @@ class TestPoolRobustness:
         assert results[1].error is None
         assert pool.quarantined == 1
 
+    def test_only_repeated_deaths_back_off(self, plan, monkeypatch):
+        """A lone death is replaced at once; the next consecutive one waits."""
+        from repro.serve import pool as pool_module
+
+        sleeps: list[float] = []
+        monkeypatch.setattr(pool_module.time, "sleep", sleeps.append)
+        fault_plan = FaultPlan((FaultSpec(kind="kill", batch_id=0, times=2),))
+        pool = WorkerPool(1, fault_plan=fault_plan, backoff_base_s=0.5)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PoolStompedWarning)
+                pool.submit(make_batches(plan, 1)[0])
+                results = pool.collect_all()
+        finally:
+            pool.close()
+        assert [r.error for r in results] == [None]
+        assert pool.retried == 2
+        assert sleeps == [0.5]
+
     def test_close_reports_escalation_stages(self, plan):
         pool = WorkerPool(2)
         report = pool.close(timeout=5.0)
@@ -213,3 +232,14 @@ def test_blas_cap_lowers_but_never_raises():
     if result.stdout.split() == ["None", "None"]:
         pytest.skip("numpy is not linked against OpenBLAS")
     assert result.stdout.split() == ["1", "1"]
+
+
+def test_blas_cap_skips_a_library_that_cannot_be_loaded(monkeypatch, tmp_path):
+    """A mapped OpenBLAS that is gone from disk is skipped, not fatal."""
+    from repro.serve import pool
+
+    missing = tmp_path / "libopenblas-deleted.so.0"
+    maps = tmp_path / "maps"
+    maps.write_text(f"7f00-7f01 r-xp 00000000 08:01 42 {missing} (deleted)\n")
+    monkeypatch.setattr(pool, "Path", lambda _path: maps)
+    assert pool._openblas_thread_functions.__wrapped__() is None
